@@ -20,7 +20,7 @@
 //!    computed metrics are bit-identical to the sharded ones.
 //!
 //! Exits nonzero on any violation. CI uploads the resulting stores as
-//! artifacts alongside `BENCH_engine.json`.
+//! artifacts.
 
 use sybil_bench::grid::{default_cache_dir, run_spend_grid, run_spend_grid_sharded};
 use sybil_bench::sweep::{default_workers, Algo};

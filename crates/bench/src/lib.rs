@@ -39,7 +39,6 @@ pub mod figure9;
 pub mod grid;
 pub mod invariants_exp;
 pub mod lower_bound_exp;
-pub mod perf;
 pub mod sweep;
 pub mod table;
 

@@ -1,9 +1,8 @@
 //! Shared experiment machinery: algorithm roster and spend-rate runs.
 //!
-//! The deterministic thread pool and the seed-derivation functions moved
-//! to the `sybil-exp` orchestration crate (so the experiment runner and
-//! the figure drivers share one scheduler); they are re-exported here
-//! under their original names.
+//! The seed-derivation functions live in the `sybil-exp` orchestration
+//! crate (so the experiment runner and the figure drivers share one
+//! derivation); they are re-exported here under their original names.
 
 use ergo_core::defid::DefIdChecker;
 use sybil_churn::model::ChurnModel;
@@ -15,7 +14,6 @@ use sybil_sim::time::Time;
 use sybil_sim::workload::WorkloadSource;
 use sybil_sim::SimReport;
 
-pub use sybil_exp::pool::{run_parallel, run_parallel_stats, PoolStats};
 pub use sybil_exp::spec::{defense_seed, trial_seed};
 
 /// Every algorithm appearing in the paper's Figures 8 and 10.
@@ -257,25 +255,21 @@ pub fn run_report_with_measured<W: WorkloadSource>(
         cfg: SimConfig,
         t: f64,
         source: W,
+        trap: Option<u64>,
         measured: &'a Cell<LoopAllocs>,
     }
     impl<W: WorkloadSource> AlgoVisitor for Runner<'_, W> {
         type Out = SimReport;
         fn visit<D: Defense + 'static>(self, defense: D) -> SimReport {
             let stats: Cell<Option<AllocStats>> = Cell::new(None);
-            let measured = self.measured;
+            let (trap, measured) = (self.trap, self.measured);
             let (report, _defense) =
                 Simulation::new(self.cfg, defense, BudgetJoiner::new(self.t), self.source)
                     .run_spanned(
                         || {
                             stats.set(Some(AllocStats::begin()));
-                            // Attribution aid: SYBIL_BENCH_ALLOC_TRAP=N
-                            // aborts with a backtrace at the N-th in-span
-                            // allocation (see sybil_exp::alloc::trap_after).
-                            if let Ok(n) = std::env::var("SYBIL_BENCH_ALLOC_TRAP") {
-                                if let Ok(n) = n.parse::<u64>() {
-                                    sybil_exp::alloc::trap_after(n);
-                                }
+                            if let Some(n) = trap {
+                                sybil_exp::alloc::trap_after(n);
                             }
                         },
                         || {
@@ -287,9 +281,28 @@ pub fn run_report_with_measured<W: WorkloadSource>(
             report
         }
     }
+    // Read before the span opens: the env read allocates, and an
+    // allocation it made inside the span would be counted as the loop's.
+    let trap = sybil_exp::env::or_abort(parse_alloc_trap(std::env::var("SYBIL_BENCH_ALLOC_TRAP")));
     let measured = Cell::new(LoopAllocs::default());
-    let report = algo.dispatch(defense_seed, Runner { cfg, t, source, measured: &measured });
+    let report = algo.dispatch(defense_seed, Runner { cfg, t, source, trap, measured: &measured });
     (report, measured.get())
+}
+
+/// Parses a `SYBIL_BENCH_ALLOC_TRAP` setting: `N` arms the allocation
+/// trap to abort with a backtrace at the `N`-th allocation inside the
+/// measured event loop (`0` = the first; see
+/// [`sybil_exp::alloc::trap_after`]). An attribution aid for a failing
+/// allocation budget; strict like the other knobs, so a typo aborts
+/// instead of silently leaving the trap disarmed.
+fn parse_alloc_trap(raw: Result<String, std::env::VarError>) -> Result<Option<u64>, String> {
+    sybil_exp::env::parse("SYBIL_BENCH_ALLOC_TRAP", raw, |v| {
+        v.parse::<u64>().map_err(|_| {
+            "is not a non-negative integer: N traps the N-th allocation inside the \
+             measured event loop (example: SYBIL_BENCH_ALLOC_TRAP=0 traps the first)"
+                .to_string()
+        })
+    })
 }
 
 /// Runs one cell and returns the full simulation report. Workloads come
@@ -402,12 +415,9 @@ mod tests {
     }
 
     #[test]
-    fn reexported_pool_and_seeds_are_live() {
+    fn reexported_seeds_are_live() {
         // The implementations live in sybil-exp; these aliases must keep
-        // working for the drivers and the perf scenarios.
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            (0..8usize).map(|i| Box::new(move || i * i) as _).collect();
-        assert_eq!(run_parallel(jobs, 3), (0..8usize).map(|i| i * i).collect::<Vec<_>>());
+        // working for the drivers.
         assert_eq!(trial_seed(42, 7), sybil_exp::trial_seed(42, 7));
         assert_eq!(defense_seed(9), sybil_exp::defense_seed(9));
     }
@@ -480,6 +490,23 @@ mod tests {
         }
         // The cached accessor is stable across calls.
         assert_eq!(fast_mode(), fast_mode());
+    }
+
+    /// The allocation trap's knob must reject garbage instead of silently
+    /// leaving the trap disarmed. The parser is pure, so no env mutation
+    /// is needed here.
+    #[test]
+    fn alloc_trap_parsing_is_strict() {
+        let parse = |v: &str| parse_alloc_trap(Ok(v.to_string()));
+        assert_eq!(parse("0"), Ok(Some(0)));
+        assert_eq!(parse("1000000000"), Ok(Some(1_000_000_000)));
+        assert_eq!(parse(" 7 "), Ok(Some(7)), "whitespace is trimmed like the other knobs");
+        assert_eq!(parse_alloc_trap(Err(std::env::VarError::NotPresent)), Ok(None));
+        for bad in ["-1", "1e9", "first", "0x10", ""] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains("SYBIL_BENCH_ALLOC_TRAP"), "{err}");
+            assert!(err.contains("example"), "error must be actionable: {err}");
+        }
     }
 
     #[test]

@@ -67,10 +67,7 @@ pub mod store;
 pub use alloc::{counting_enabled, disarm_trap, trap_after, AllocStats, CountingAlloc};
 pub use cache::{CacheStats, WorkloadCache};
 pub use fault::FaultPlan;
-pub use pool::{
-    default_shards, run_parallel, run_parallel_catch, run_parallel_scratch, run_parallel_stats,
-    shard_budget, JobOutcome, PoolStats, Scratch,
-};
+pub use pool::{default_shards, run_parallel_catch, shard_budget, JobOutcome, PoolStats};
 pub use runner::{
     run_cell_grid, run_cell_grid_opts, run_grid, run_grid_opts, run_spec_grid, run_spec_grid_opts,
     CellFailure, GridOptions, GridOutcome, RetryPolicy, RunSummary,

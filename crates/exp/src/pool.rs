@@ -1,10 +1,6 @@
-//! The chunked work-stealing job pool, with per-worker instrumentation
-//! and a per-worker [`Scratch`] arena reset between jobs (so a grid's
-//! trials reuse staging capacity instead of allocating per trial).
-//!
-//! Moved here from the bench crate's `sweep` module so the experiment
-//! runner and the figure drivers share one scheduler; `sweep` re-exports
-//! these names, so existing callers are unaffected.
+//! The chunked work-stealing job pool, panic-isolated and instrumented
+//! with per-worker counters. [`run_parallel_catch`] is its one entry
+//! point; the experiment runner schedules every grid through it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -215,51 +211,6 @@ impl<T> JobOutcome<T> {
     }
 }
 
-/// Per-worker scratch arena, reset (capacity-preserving) between jobs.
-///
-/// Every worker thread owns exactly one `Scratch` for the lifetime of a
-/// pool run and hands it to each job it executes via
-/// [`run_parallel_scratch`]. Before a job runs, the arena is cleared but
-/// its backing capacity is kept, so a grid of ten thousand trials that
-/// each need a staging buffer performs the allocation once per worker —
-/// on the first trial — and zero times after warmup, instead of once per
-/// trial. A panicking job leaves its arena in an arbitrary state; the
-/// pre-job reset restores the clean-arena invariant before the next trial.
-///
-/// The buffers are deliberately plain so any trial shape can stage into
-/// them; a job must not assume anything about contents on entry beyond
-/// "empty with whatever capacity earlier trials grew".
-#[derive(Debug, Default)]
-pub struct Scratch {
-    bytes: Vec<u8>,
-    ids: Vec<u64>,
-    text: String,
-}
-
-impl Scratch {
-    /// Byte staging buffer (serialization, record assembly).
-    pub fn bytes(&mut self) -> &mut Vec<u8> {
-        &mut self.bytes
-    }
-
-    /// Index/ID staging buffer (candidate lists, sort keys).
-    pub fn ids(&mut self) -> &mut Vec<u64> {
-        &mut self.ids
-    }
-
-    /// Text staging buffer (cell ids, rendered records).
-    pub fn text(&mut self) -> &mut String {
-        &mut self.text
-    }
-
-    /// Clears every buffer, keeping capacity (the arena reset).
-    fn reset(&mut self) {
-        self.bytes.clear();
-        self.ids.clear();
-        self.text.clear();
-    }
-}
-
 /// Renders a caught panic payload (the `&str` / `String` forms `panic!`
 /// produces; anything else is labelled opaquely).
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -272,19 +223,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `jobs` on `workers` threads, preserving input order of results.
-/// See [`run_parallel_stats`] for the scheduling contract; this variant
-/// drops the instrumentation.
-pub fn run_parallel<T, F>(jobs: Vec<F>, workers: usize) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    run_parallel_stats(jobs, workers).0
-}
+/// One worker's buffered output: `(job index, outcome)` pairs plus stats.
+type WorkerBuffer<T> = (Vec<(usize, JobOutcome<T>)>, WorkerStats);
 
-/// Runs `jobs` on `workers` threads, preserving input order of results,
-/// and reports per-worker scheduling stats.
+/// Runs `jobs` on `workers` threads, catching per-job panics, and
+/// returns one [`JobOutcome`] per job in input order plus per-worker
+/// scheduling stats.
 ///
 /// Scheduling is chunked work-stealing: workers claim contiguous chunks of
 /// roughly `n / (workers · 8)` jobs off a shared atomic cursor, so fast
@@ -292,77 +236,22 @@ where
 /// claim itself is a single uncontended `fetch_add`. Results land in
 /// per-worker buffers; no lock is held while a job runs.
 ///
-/// Determinism: a job closure must depend only on what it captured (the
-/// experiment drivers capture fixed seeds; multi-trial drivers derive
-/// theirs from `trial_seed`) and never on which worker runs it, so the
-/// returned vector is identical regardless of `workers` or scheduling —
-/// only [`PoolStats`] varies between runs.
-///
-/// # Panics
-///
-/// Panics *after every job has been given its chance to run* if any job
-/// panicked — one panic per run on the calling thread, never a cascade of
-/// poisoned-mutex aborts across workers. Callers that need per-job panic
-/// outcomes use [`run_parallel_catch`].
-pub fn run_parallel_stats<T, F>(jobs: Vec<F>, workers: usize) -> (Vec<T>, PoolStats)
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let (outcomes, stats) = run_parallel_catch(jobs, workers);
-    let mut first_panic: Option<String> = None;
-    let mut panics = 0usize;
-    let results: Vec<T> = outcomes
-        .into_iter()
-        .filter_map(|o| match o {
-            JobOutcome::Done(v) => Some(v),
-            JobOutcome::Panicked(msg) => {
-                panics += 1;
-                first_panic.get_or_insert(msg);
-                None
-            }
-        })
-        .collect();
-    if let Some(msg) = first_panic {
-        panic!("{panics} pool job(s) panicked; first: {msg}");
-    }
-    (results, stats)
-}
-
-/// One worker's buffered output: `(job index, outcome)` pairs plus stats.
-type WorkerBuffer<T> = (Vec<(usize, JobOutcome<T>)>, WorkerStats);
-
-/// Runs `jobs` on `workers` threads, catching per-job panics.
-///
-/// Same scheduling contract as [`run_parallel_stats`], but each job runs
-/// under [`catch_unwind`]: a panicking closure yields
+/// Each job runs under [`catch_unwind`]: a panicking closure yields
 /// [`JobOutcome::Panicked`] with its message while every other job — on
 /// the same worker or its siblings — runs to completion. Job-slot claims
 /// ignore mutex poisoning (a slot's guard is never held across user code,
 /// so poison there can only mean a *sibling* worker's panic mid-claim,
 /// which must not cascade).
+///
+/// Determinism: a job closure must depend only on what it captured (the
+/// experiment drivers capture fixed seeds; multi-trial drivers derive
+/// theirs from `trial_seed`) and never on which worker runs it, so the
+/// returned outcomes are identical regardless of `workers` or scheduling —
+/// only [`PoolStats`] varies between runs.
 pub fn run_parallel_catch<T, F>(jobs: Vec<F>, workers: usize) -> (Vec<JobOutcome<T>>, PoolStats)
 where
     T: Send,
     F: FnOnce() -> T + Send,
-{
-    let jobs: Vec<_> = jobs.into_iter().map(|f| move |_: &mut Scratch| f()).collect();
-    run_parallel_scratch(jobs, workers)
-}
-
-/// Runs scratch-aware `jobs` on `workers` threads, catching per-job
-/// panics — the core loop every `run_parallel*` variant rides.
-///
-/// Same scheduling and panic contract as [`run_parallel_catch`], but each
-/// closure receives its worker's [`Scratch`] arena, reset
-/// (capacity-preserving) before the job runs. Determinism is unchanged:
-/// the arena is always empty on entry, so a job observing only contents
-/// (never capacity) behaves identically regardless of which worker runs
-/// it or what ran before.
-pub fn run_parallel_scratch<T, F>(jobs: Vec<F>, workers: usize) -> (Vec<JobOutcome<T>>, PoolStats)
-where
-    T: Send,
-    F: FnOnce(&mut Scratch) -> T + Send,
 {
     assert!(workers > 0, "need at least one worker");
     let n = jobs.len();
@@ -386,7 +275,6 @@ where
                 scope.spawn(|| {
                     let mut local: Vec<(usize, JobOutcome<T>)> = Vec::new();
                     let mut stats = WorkerStats::default();
-                    let mut scratch = Scratch::default();
                     loop {
                         let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                         if start >= n {
@@ -401,8 +289,7 @@ where
                                 .take()
                                 .expect("job claimed twice");
                             let job_started = Instant::now();
-                            scratch.reset();
-                            let outcome = match catch_unwind(AssertUnwindSafe(|| f(&mut scratch))) {
+                            let outcome = match catch_unwind(AssertUnwindSafe(f)) {
                                 Ok(value) => JobOutcome::Done(value),
                                 Err(payload) => {
                                     stats.panics += 1;
@@ -439,35 +326,40 @@ where
 mod tests {
     use super::*;
 
+    /// Unwraps every outcome, failing the test on a panicked job.
+    fn done<T>(outcomes: Vec<JobOutcome<T>>) -> Vec<T> {
+        outcomes.into_iter().map(|o| o.into_done().expect("job panicked")).collect()
+    }
+
     #[test]
-    fn run_parallel_preserves_order() {
+    fn preserves_order() {
         let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
             (0..20usize).map(|i| Box::new(move || i * i) as _).collect();
-        let out = run_parallel(jobs, 4);
+        let out = done(run_parallel_catch(jobs, 4).0);
         assert_eq!(out, (0..20usize).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
-    fn run_parallel_handles_edge_shapes() {
+    fn handles_edge_shapes() {
         // Empty job list.
         let none: Vec<Box<dyn FnOnce() -> u32 + Send>> = Vec::new();
-        assert!(run_parallel(none, 4).is_empty());
+        assert!(run_parallel_catch(none, 4).0.is_empty());
         // More workers than jobs.
         let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
             (0..3usize).map(|i| Box::new(move || i) as _).collect();
-        assert_eq!(run_parallel(jobs, 64), vec![0, 1, 2]);
+        assert_eq!(done(run_parallel_catch(jobs, 64).0), vec![0, 1, 2]);
         // Single worker degrades to sequential.
         let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
             (0..7usize).map(|i| Box::new(move || i + 1) as _).collect();
-        assert_eq!(run_parallel(jobs, 1), (1..=7).collect::<Vec<_>>());
+        assert_eq!(done(run_parallel_catch(jobs, 1).0), (1..=7).collect::<Vec<_>>());
     }
 
     #[test]
     fn stats_account_for_every_job_and_chunk() {
         let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
             (0..40usize).map(|i| Box::new(move || i) as _).collect();
-        let (out, stats) = run_parallel_stats(jobs, 4);
-        assert_eq!(out.len(), 40);
+        let (out, stats) = run_parallel_catch(jobs, 4);
+        assert_eq!(done(out).len(), 40);
         assert_eq!(stats.total_jobs(), 40);
         assert_eq!(stats.workers.len(), 4);
         let chunks: u64 = stats.workers.iter().map(|w| w.chunks).sum();
@@ -520,87 +412,6 @@ mod tests {
         assert!(line.contains("1 panicked"), "{line}");
     }
 
-    /// The strict variant still fails loudly — but with one aggregate
-    /// panic on the caller after all jobs ran, never a worker-side abort.
-    #[test]
-    fn run_parallel_stats_reports_panics_once_after_draining() {
-        let ran = std::sync::atomic::AtomicUsize::new(0);
-        let ran_ref = &ran;
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send + '_>> = (0..8usize)
-            .map(|i| {
-                Box::new(move || {
-                    ran_ref.fetch_add(1, Ordering::Relaxed);
-                    if i == 2 {
-                        panic!("boom");
-                    }
-                    i
-                }) as _
-            })
-            .collect();
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| run_parallel_stats(jobs, 2)));
-        let msg = panic_message(caught.unwrap_err());
-        assert!(msg.contains("1 pool job(s) panicked") && msg.contains("boom"), "{msg}");
-        assert_eq!(ran.load(Ordering::Relaxed), 8, "siblings must drain before the panic");
-    }
-
-    /// A boxed scratch-aware job, as the arena tests build them.
-    type ScratchJob<T> = Box<dyn FnOnce(&mut Scratch) -> T + Send>;
-
-    /// The arena contract: one worker runs every job in sequence, job 0
-    /// grows the scratch, and every later job must see it *empty* (reset)
-    /// but still *capacious* (no per-trial reallocation).
-    #[test]
-    fn scratch_is_reset_but_keeps_capacity_across_jobs() {
-        const GROW: usize = 1 << 16;
-        let jobs: Vec<ScratchJob<(usize, usize)>> = (0..10usize)
-            .map(|i| {
-                Box::new(move |s: &mut Scratch| {
-                    let observed = (s.bytes().len(), s.bytes().capacity());
-                    if i == 0 {
-                        s.bytes().resize(GROW, 0);
-                        s.ids().extend(0..128);
-                        s.text().push_str("warmup");
-                    } else {
-                        assert!(s.ids().is_empty() && s.text().is_empty(), "arena not reset");
-                    }
-                    observed
-                }) as _
-            })
-            .collect();
-        let (outcomes, _) = run_parallel_scratch(jobs, 1);
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let (len, cap) = match outcome {
-                JobOutcome::Done(v) => v,
-                JobOutcome::Panicked(msg) => panic!("job {i} panicked: {msg}"),
-            };
-            assert_eq!(len, 0, "job {i} saw a dirty arena");
-            if i > 0 {
-                assert!(cap >= GROW, "job {i} saw capacity {cap}: warmup allocation was lost");
-            }
-        }
-    }
-
-    /// A panicking job must not poison the arena for its successors: the
-    /// pre-job reset restores the clean state.
-    #[test]
-    fn scratch_survives_a_panicking_job() {
-        let jobs: Vec<ScratchJob<usize>> = (0..4usize)
-            .map(|i| {
-                Box::new(move |s: &mut Scratch| {
-                    assert!(s.bytes().is_empty(), "job {i} saw a dirty arena");
-                    s.bytes().push(i as u8);
-                    if i == 1 {
-                        panic!("mid-write panic");
-                    }
-                    s.bytes().len()
-                }) as _
-            })
-            .collect();
-        let (outcomes, stats) = run_parallel_scratch(jobs, 1);
-        assert_eq!(stats.total_panics(), 1);
-        assert_eq!(outcomes.iter().filter(|o| matches!(o, JobOutcome::Done(1))).count(), 3);
-    }
-
     #[test]
     fn chunk_and_shard_parsing_is_strict() {
         use std::env::VarError;
@@ -637,7 +448,7 @@ mod tests {
         // path: stats report the computed chunk.
         let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
             (0..64usize).map(|i| Box::new(move || i) as _).collect();
-        let (_, stats) = run_parallel_stats(jobs, 2);
+        let (_, stats) = run_parallel_catch(jobs, 2);
         let expected = chunk_from_env().unwrap().unwrap_or(64 / (2 * 8));
         assert_eq!(stats.chunk_size, expected);
     }
@@ -680,7 +491,7 @@ mod tests {
                 }) as _
             })
             .collect();
-        let (_, stats) = run_parallel_stats(jobs, 1);
+        let (_, stats) = run_parallel_catch(jobs, 1);
         assert_eq!(stats.workers.len(), 1);
         assert_eq!(stats.workers[0].jobs, 8);
         assert!(stats.workers[0].busy_secs > 0.0);

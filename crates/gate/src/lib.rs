@@ -26,9 +26,10 @@
 //!
 //! Every decision is appended to a wall-clock-free log, so any two runs
 //! of the same workload produce byte-identical logs ([`client::replay`]
-//! pins this); the `gate_bench` binary replays churn workloads through
-//! the loopback and reports verification throughput and p50/p99/p999
-//! admission latency.
+//! pins this). The golden tests (`tests/golden.rs`) pin the log's
+//! SHA-256 for a full-size churn replay through both services, and the
+//! repository benchmark (`perfbench`) replays churn through the loopback
+//! to measure throughput and admission latency.
 //!
 //! # Modules
 //!
